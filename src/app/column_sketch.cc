@@ -1,5 +1,6 @@
 #include "app/column_sketch.h"
 
+#include "app/csv.h"
 #include "common/check.h"
 #include "testing/oracle.h"
 
@@ -8,6 +9,11 @@ namespace histest {
 Result<ColumnSketch> ColumnSketch::Build(const std::vector<size_t>& values,
                                          size_t domain) {
   if (domain == 0) return Status::InvalidArgument("domain must be positive");
+  if (domain > kMaxColumnDomain) {
+    return Status::OutOfRange("domain " + std::to_string(domain) +
+                              " exceeds the column domain cap " +
+                              std::to_string(kMaxColumnDomain));
+  }
   if (values.empty()) {
     return Status::InvalidArgument("column must be non-empty");
   }

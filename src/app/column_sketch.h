@@ -18,7 +18,8 @@ namespace histest {
 /// we test" from the introduction's motivating use case.
 class ColumnSketch {
  public:
-  /// Builds from raw column values; every value must be < domain.
+  /// Builds from raw column values; every value must be < domain, and
+  /// domain must be at most kMaxColumnDomain (app/csv.h).
   static Result<ColumnSketch> Build(const std::vector<size_t>& values,
                                     size_t domain);
 

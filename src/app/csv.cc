@@ -1,6 +1,7 @@
 #include "app/csv.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -26,6 +27,13 @@ std::vector<std::string> SplitFields(const std::string& line) {
 
 Result<CsvColumn> ParseCsvColumn(const std::string& text,
                                  const CsvColumnOptions& options) {
+  if (options.domain > kMaxColumnDomain) {
+    return Status::OutOfRange("domain " + std::to_string(options.domain) +
+                              " exceeds the column domain cap " +
+                              std::to_string(kMaxColumnDomain));
+  }
+  const size_t domain =
+      options.domain != 0 ? options.domain : kMaxColumnDomain;
   CsvColumn column;
   std::istringstream in(text);
   std::string line;
@@ -48,17 +56,18 @@ Result<CsvColumn> ParseCsvColumn(const std::string& text,
     }
     const std::string& field = fields[options.column];
     char* end = nullptr;
+    errno = 0;
     const long long v = std::strtoll(field.c_str(), &end, 10);
-    if (end == field.c_str() || *end != '\0' || v < 0) {
+    if (end == field.c_str() || *end != '\0' || v < 0 || errno == ERANGE) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": not a non-negative integer: '" +
                                      field + "'");
     }
-    if (options.domain != 0 && static_cast<size_t>(v) >= options.domain) {
+    if (static_cast<size_t>(v) >= domain) {
       return Status::OutOfRange("line " + std::to_string(line_no) +
                                 ": value " + std::to_string(v) +
                                 " outside domain [0, " +
-                                std::to_string(options.domain) + ")");
+                                std::to_string(domain) + ")");
     }
     column.values.push_back(static_cast<size_t>(v));
   }

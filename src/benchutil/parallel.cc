@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/arena.h"
 #include "common/check.h"
@@ -200,9 +201,19 @@ Result<TrialStats> EstimateAcceptanceParallel(
   std::vector<int> accepted(static_cast<size_t>(trials), 0);
   std::vector<double> samples(static_cast<size_t>(trials), 0.0);
   std::vector<Status> statuses(static_cast<size_t>(trials), Status::Ok());
-  std::atomic<bool> failed{false};
+  // Lowest failing trial index so far (`trials` while none failed). Only
+  // trials above it are skipped, so the lowest-index failure always runs
+  // and its status is the one returned, whatever the scheduling.
+  std::atomic<int64_t> first_failed{trials};
+  const auto fail = [&](int64_t t, Status status) {
+    statuses[t] = std::move(status);
+    int64_t seen = first_failed.load(std::memory_order_relaxed);
+    while (t < seen && !first_failed.compare_exchange_weak(
+                           seen, t, std::memory_order_relaxed)) {
+    }
+  };
   ParallelFor(trials, threads, [&](int64_t t) {
-    if (failed.load(std::memory_order_relaxed)) return;
+    if (t > first_failed.load(std::memory_order_relaxed)) return;
     // Each trial is a span of its own: spans nest per thread, so a worker's
     // histogram_test subtree hangs under its trial regardless of which pool
     // thread ran it.
@@ -216,14 +227,12 @@ Result<TrialStats> EstimateAcceptanceParallel(
     DistributionOracle oracle(sampler, seeds[t].first);
     auto tester = factory(seeds[t].second);
     if (tester == nullptr) {
-      statuses[t] = Status::InvalidArgument("factory returned a null tester");
-      failed.store(true, std::memory_order_relaxed);
+      fail(t, Status::InvalidArgument("factory returned a null tester"));
       return;
     }
     auto outcome = tester->Test(oracle);
     if (!outcome.ok()) {
-      statuses[t] = outcome.status();
-      failed.store(true, std::memory_order_relaxed);
+      fail(t, outcome.status());
       return;
     }
     accepted[t] = outcome.value().verdict == Verdict::kAccept ? 1 : 0;
@@ -235,12 +244,8 @@ Result<TrialStats> EstimateAcceptanceParallel(
                   static_cast<int64_t>(arena.bytes_reserved()));
     obs::AddCount(obs::names::kTrialsRun, 1);
   });
-  if (failed.load()) {
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;  // lowest-index trial failure
-    }
-    return Status::Internal("a parallel trial failed without a status");
-  }
+  const int64_t first = first_failed.load();
+  if (first < trials) return statuses[first];
   TrialStats stats;
   stats.trials = trials;
   int accepts = 0;

@@ -13,6 +13,48 @@
 #include "obs/names.h"
 
 namespace histest {
+namespace {
+
+/// One pipeline stage's accounting, opened just before the stage runs: a
+/// trace span under the run's root span, the samples the stage drew, the
+/// stage's samples_drawn counter (none for the sample-free check stage),
+/// and its StageReport. End() — or the destructor, if the stage is left
+/// early — closes the span annotated with samples_drawn and adds the same
+/// count to the counter; Report() files the StageReport with it.
+class StageScope {
+ public:
+  StageScope(const SampleOracle& oracle, const char* stage,
+             const char* span_name, const char* counter_name)
+      : oracle_(oracle),
+        stage_(stage),
+        counter_name_(counter_name),
+        start_(oracle.SamplesDrawn()) {
+    span_.emplace(span_name);
+  }
+  ~StageScope() { End(); }
+
+  void End() {
+    if (!span_.has_value()) return;
+    drawn_ = oracle_.SamplesDrawn() - start_;
+    span_->AnnotateInt("samples_drawn", drawn_);
+    span_.reset();
+    if (counter_name_ != nullptr) obs::AddCount(counter_name_, drawn_);
+  }
+
+  void Report(HistogramTestReport& report, std::string info) const {
+    report.stages.push_back(StageReport{stage_, drawn_, std::move(info)});
+  }
+
+ private:
+  const SampleOracle& oracle_;
+  const char* stage_;
+  const char* counter_name_;
+  const int64_t start_;
+  int64_t drawn_ = 0;
+  std::optional<obs::TraceSpan> span_;
+};
+
+}  // namespace
 
 HistogramTesterOptions HistogramTesterOptions::PaperFaithful() {
   HistogramTesterOptions o;
@@ -93,41 +135,28 @@ Result<HistogramTestReport> HistogramTester::TestWithReport(
   const double kd = static_cast<double>(k_);
   double b = opts.partition_b_constant * kd * std::log2(kd + 1.0) / eps_;
   b = std::max(1.0, std::min(b, static_cast<double>(n)));
-  int64_t stage_start = oracle.SamplesDrawn();
-  std::optional<obs::TraceSpan> stage_span;
-  stage_span.emplace(obs::names::kSpanStageApproxPart);
+  StageScope approx_stage(oracle, "approx_part",
+                          obs::names::kSpanStageApproxPart,
+                          obs::names::kStageApproxPartSamplesDrawn);
   auto partition = ApproxPartition(oracle, b, opts.approx_part);
-  {
-    const int64_t drawn = oracle.SamplesDrawn() - stage_start;
-    stage_span->AnnotateInt("samples_drawn", drawn);
-    stage_span.reset();
-    obs::AddCount(obs::names::kStageApproxPartSamplesDrawn, drawn);
-  }
+  approx_stage.End();
   HISTEST_RETURN_IF_ERROR(partition.status());
   report.partition_size = partition.value().NumIntervals();
   {
     std::ostringstream info;
     info << "b=" << b << " K=" << partition.value().NumIntervals();
-    report.stages.push_back(StageReport{
-        "approx_part", oracle.SamplesDrawn() - stage_start, info.str()});
+    approx_stage.Report(report, info.str());
   }
 
   // --- Step 4: chi-square learner. ---
-  stage_start = oracle.SamplesDrawn();
   const double eps_learn = opts.learner_eps_fraction * eps_;
-  stage_span.emplace(obs::names::kSpanStageLearner);
+  StageScope learner_stage(oracle, "learner", obs::names::kSpanStageLearner,
+                           obs::names::kStageLearnerSamplesDrawn);
   auto dhat = LearnHistogramChiSquare(oracle, partition.value(), eps_learn,
                                       opts.learner);
-  {
-    const int64_t drawn = oracle.SamplesDrawn() - stage_start;
-    stage_span->AnnotateInt("samples_drawn", drawn);
-    stage_span.reset();
-    obs::AddCount(obs::names::kStageLearnerSamplesDrawn, drawn);
-  }
+  learner_stage.End();
   HISTEST_RETURN_IF_ERROR(dhat.status());
-  report.stages.push_back(StageReport{
-      "learner", oracle.SamplesDrawn() - stage_start,
-      "eps_l=" + std::to_string(eps_learn)});
+  learner_stage.Report(report, "eps_l=" + std::to_string(eps_learn));
   // The hypothesis's dense expansion is the run's dominant O(n) temporary;
   // it comes from the thread's scratch arena, so repeated Test() calls on
   // one thread (the trial loop) reuse the same retained chunks instead of
@@ -142,22 +171,15 @@ Result<HistogramTestReport> HistogramTester::TestWithReport(
                 static_cast<int64_t>(arena.bytes_reserved()));
 
   // --- Steps 6-8: sieving. ---
-  stage_start = oracle.SamplesDrawn();
-  stage_span.emplace(obs::names::kSpanStageSieve);
+  StageScope sieve_stage(oracle, "sieve", obs::names::kSpanStageSieve,
+                         obs::names::kStageSieveSamplesDrawn);
   auto sieve = SieveIntervals(oracle, dstar, partition.value(), k_, eps_,
                               opts.sieve, rng_);
-  {
-    const int64_t drawn = oracle.SamplesDrawn() - stage_start;
-    stage_span->AnnotateInt("samples_drawn", drawn);
-    stage_span.reset();
-    obs::AddCount(obs::names::kStageSieveSamplesDrawn, drawn);
-  }
+  sieve_stage.End();
   HISTEST_RETURN_IF_ERROR(sieve.status());
   report.removed_intervals =
       sieve.value().removed_heavy + sieve.value().removed_iterative;
-  report.stages.push_back(StageReport{"sieve",
-                                      oracle.SamplesDrawn() - stage_start,
-                                      sieve.value().detail});
+  sieve_stage.Report(report, sieve.value().detail);
   if (sieve.value().rejected) {
     report.verdict = Verdict::kReject;
     report.decided_by = "sieve";
@@ -167,19 +189,19 @@ Result<HistogramTestReport> HistogramTester::TestWithReport(
   }
 
   // --- Step 10: offline closeness check on the kept subdomain. ---
-  stage_span.emplace(obs::names::kSpanStageCheck);
+  StageScope check_stage(oracle, "check", obs::names::kSpanStageCheck,
+                         nullptr);
   auto check = CheckCloseToHkOnSubdomain(dhat.value(), partition.value(),
                                          sieve.value().active, k_, eps_,
                                          opts.check);
-  stage_span->AnnotateInt("samples_drawn", 0);
-  stage_span.reset();
+  check_stage.End();
   HISTEST_RETURN_IF_ERROR(check.status());
   {
     std::ostringstream info;
     info << "dist(Dhat,Hk|G) in [" << check.value().bounds.lower << ", "
          << check.value().bounds.upper << "] threshold="
          << opts.check.threshold_fraction * eps_;
-    report.stages.push_back(StageReport{"check", 0, info.str()});
+    check_stage.Report(report, info.str());
   }
   if (!check.value().close) {
     report.verdict = Verdict::kReject;
@@ -190,25 +212,18 @@ Result<HistogramTestReport> HistogramTester::TestWithReport(
   }
 
   // --- Step 13: restricted [ADK15] identity test against the hypothesis. --
-  stage_start = oracle.SamplesDrawn();
   const double eps_final = opts.final_eps_fraction * eps_;
   const double m_final = opts.final_test.sample_constant *
                          std::sqrt(static_cast<double>(n)) /
                          (eps_final * eps_final);
-  stage_span.emplace(obs::names::kSpanStageFinal);
+  StageScope final_stage(oracle, "final", obs::names::kSpanStageFinal,
+                         obs::names::kStageFinalSamplesDrawn);
   auto final_outcome = AdkRestrictedIdentityTest(
       oracle, dstar, partition.value(), sieve.value().active, eps_final,
       m_final, opts.final_test, rng_);
-  {
-    const int64_t drawn = oracle.SamplesDrawn() - stage_start;
-    stage_span->AnnotateInt("samples_drawn", drawn);
-    stage_span.reset();
-    obs::AddCount(obs::names::kStageFinalSamplesDrawn, drawn);
-  }
+  final_stage.End();
   HISTEST_RETURN_IF_ERROR(final_outcome.status());
-  report.stages.push_back(StageReport{"final",
-                                      oracle.SamplesDrawn() - stage_start,
-                                      final_outcome.value().detail});
+  final_stage.Report(report, final_outcome.value().detail);
   report.verdict = final_outcome.value().verdict;
   report.decided_by = "final";
   report.samples_total = oracle.SamplesDrawn() - drawn_start;

@@ -91,6 +91,9 @@ Result<Distribution> Distribution::FromWeights(std::vector<double> weights) {
   if (total <= 0.0) {
     return Status::InvalidArgument("weights must have positive total");
   }
+  if (!std::isfinite(total)) {
+    return Status::InvalidArgument("weights must have a finite total");
+  }
   for (double& w : weights) w /= total;
   return Distribution(std::move(weights));
 }

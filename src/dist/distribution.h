@@ -24,7 +24,7 @@ class Distribution {
   static Result<Distribution> Create(std::vector<double> pmf);
 
   /// Builds a distribution from any non-negative, non-zero weight vector by
-  /// normalizing it.
+  /// normalizing it. Fails when the weights' total overflows to infinity.
   static Result<Distribution> FromWeights(std::vector<double> weights);
 
   /// The uniform distribution over [0, n). Requires n > 0.

@@ -130,6 +130,9 @@ Result<CoarsenResult> GreedyMergeAtoms(const std::vector<WeightedAtom>& atoms,
       segments[right.next].prev = top.left;
     }
     right.alive = false;
+    // Dead segments are never read again; release their atoms now so
+    // memory stays linear in m instead of holding every merged-away copy.
+    std::vector<std::pair<double, double>>().swap(right.sorted_vw);
     ++left.version;
     --live;
     if (left.prev != std::numeric_limits<size_t>::max()) {

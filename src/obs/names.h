@@ -121,9 +121,6 @@
   /* ---- flight recorder (src/obs/flight_recorder.cc) ---- */                 \
   X(kRecorderThreads, "histest.recorder.threads", gauge,                       \
     "threads holding a registered flight-recorder ring")                       \
-  /* ---- metrics publisher (src/obs/publisher.cc) ---- */                     \
-  X(kPublisherSnapshots, "histest.publisher.snapshots", counter,               \
-    "registry snapshots written by the background metrics publisher")         \
   /* ---- trace spans ---- */                                                  \
   X(kSpanHistogramTest, "histogram_test", span,                                \
     "one HistogramTester run; parent of the stage spans")                      \

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "app/column_sketch.h"
+#include "app/csv.h"
 #include "app/selectivity.h"
 #include "app/summary.h"
 #include "common/rng.h"
@@ -24,6 +25,25 @@ TEST(ColumnSketchTest, BuildValidates) {
   EXPECT_FALSE(ColumnSketch::Build({}, 4).ok());
   EXPECT_FALSE(ColumnSketch::Build({1, 5}, 4).ok());
   EXPECT_FALSE(ColumnSketch::Build({0}, 0).ok());
+}
+
+TEST(ColumnSketchTest, HostileCsvValuesFailWithStatus) {
+  // CSV text -> parsed column -> sketch must end in a Status, never in a
+  // saturated value or an allocation failure.
+  const auto ingest = [](const std::string& csv) -> Status {
+    auto column = ParseCsvColumn(csv);
+    HISTEST_RETURN_IF_ERROR(column.status());
+    return ColumnSketch::Build(column.value().values, column.value().domain)
+        .status();
+  };
+  EXPECT_EQ(ingest("v\n99999999999999999999\n").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ingest("v\n9223372036854775807\n").code(),
+            StatusCode::kOutOfRange);
+  auto huge = ColumnSketch::Build({9223372036854775806ULL},
+                                  size_t{9223372036854775807ULL});
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(ColumnSketchTest, FrequenciesAndDistribution) {

@@ -54,6 +54,34 @@ TEST(CsvTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseCsvColumn("a,b\n1,2\n", options).ok());  // missing col
 }
 
+TEST(CsvTest, RejectsValuesThatOverflowInt64) {
+  // strtoll saturates at 2^63 - 1 here; the parser must not accept that.
+  auto column = ParseCsvColumn("v\n1\n99999999999999999999\n");
+  ASSERT_FALSE(column.ok());
+  EXPECT_EQ(column.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(column.status().message().find("line 3"), std::string::npos)
+      << column.status().message();
+}
+
+TEST(CsvTest, RejectsDomainsAboveTheCap) {
+  // 2^63 - 1 parses, but the derived domain 2^63 could never be allocated.
+  auto derived = ParseCsvColumn("v\n9223372036854775807\n");
+  ASSERT_FALSE(derived.ok());
+  EXPECT_EQ(derived.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(derived.status().message().find("line 2"), std::string::npos)
+      << derived.status().message();
+
+  auto at_cap = ParseCsvColumn("v\n" + std::to_string(kMaxColumnDomain - 1));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap.value().domain, kMaxColumnDomain);
+
+  CsvColumnOptions options;
+  options.domain = kMaxColumnDomain + 1;
+  auto configured = ParseCsvColumn("v\n3\n", options);
+  ASSERT_FALSE(configured.ok());
+  EXPECT_EQ(configured.status().code(), StatusCode::kOutOfRange);
+}
+
 TEST(CsvTest, WriteParseRoundTrip) {
   const std::vector<size_t> values = {9, 0, 7, 7};
   const std::string text = WriteCsvColumn("count", values);

@@ -40,6 +40,14 @@ TEST(DistributionTest, FromWeightsNormalizes) {
   EXPECT_FALSE(Distribution::FromWeights({0.0, 0.0}).ok());
 }
 
+TEST(DistributionTest, FromWeightsRejectsOverflowingTotal) {
+  // Each weight is finite but their sum overflows to +inf, which would
+  // normalise every entry to 0 or NaN.
+  auto d = Distribution::FromWeights({1e308, 1e308});
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DistributionTest, UniformAndPointMass) {
   const Distribution u = Distribution::UniformOver(4);
   for (size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(u[i], 0.25);

@@ -1,14 +1,30 @@
 #include "histogram/fit_merge.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "dist/distance.h"
 #include "dist/generators.h"
 #include "dist/sampler.h"
 #include "histogram/fit_dp.h"
+
+// Sanitizer runtimes own the heap (quarantine, shadow memory), so peak-RSS
+// bounds only mean something in a plain build.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HISTEST_MEASURE_RSS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define HISTEST_MEASURE_RSS 0
+#endif
+#endif
+#ifndef HISTEST_MEASURE_RSS
+#define HISTEST_MEASURE_RSS 1
+#endif
 
 namespace histest {
 namespace {
@@ -86,6 +102,33 @@ TEST(GreedyMergeTest, CoarseningErrorWithinConstantOfOptimal) {
     EXPECT_LE(greedy.value().coarsening_error,
               3.0 * opt.value().l1_error + 1e-9);
   }
+}
+
+TEST(GreedyMergeTest, MergedAwaySegmentsReleaseTheirAtoms) {
+#if HISTEST_MEASURE_RSS
+  // Alternating values make every element its own atom and every merge
+  // grow a long segment; if dead segments kept their sorted lists, memory
+  // would grow with m^2 (hundreds of MiB at this m).
+  constexpr size_t kAtoms = 32768;
+  std::vector<WeightedAtom> atoms;
+  atoms.reserve(kAtoms);
+  for (size_t i = 0; i < kAtoms; ++i) {
+    atoms.push_back(WeightedAtom{(i % 2 == 0) ? 1.0 : 2.0, 1.0, 1.0});
+  }
+  const auto peak_rss_kib = []() {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<int64_t>(usage.ru_maxrss);  // KiB on Linux
+  };
+  const int64_t before_kib = peak_rss_kib();
+  auto result = GreedyMergeAtoms(atoms, 4);
+  const int64_t growth_mib = (peak_rss_kib() - before_kib) / 1024;
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().atoms.size(), 4u);
+  EXPECT_LT(growth_mib, 48);
+#else
+  GTEST_SKIP() << "peak RSS is not meaningful under a sanitizer runtime";
+#endif
 }
 
 TEST(LearnMergedHistogramTest, ValidatesInput) {

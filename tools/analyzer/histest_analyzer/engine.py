@@ -33,8 +33,8 @@ EXCLUDED_DIRS = ("tests/analyzer/fixtures",)
 ALLOW_COMMENT = re.compile(
     r"analyzer-allow\(([a-z][a-z0-9-]*)\)\s*(?::\s*(.*))?")
 
-# Legacy spelling kept working so the determinism lint's wrapper contract
-# is a strict superset of the old tool's (reason optional there).
+# Legacy spelling of the retired regex determinism lint, still honored
+# (reason optional there).
 LEGACY_ALLOW_COMMENT = re.compile(
     r"lint-determinism:\s*allow\(([a-z][a-z0-9-]*)\)\s*(.*)")
 
